@@ -103,6 +103,9 @@ func campaign(b *testing.B, v2 bool) *campaignOut {
 				panic(err)
 			}
 			target := d.InjectionTargetSeeded(a, d.SeedFaults())
+			// The throughput benchmarks measure against the scalar
+			// engine; E20 opts into lanes explicitly.
+			target.Lanes = 1
 			g, err := target.RunGolden(d.ValidationWorkload(4, 1))
 			if err != nil {
 				panic(err)

@@ -8,10 +8,11 @@
 // injection cycle instead of simulating from cycle 0; the report is
 // byte-identical to a cold-start run.
 //
-// With -lanes L (2..64) each worker runs up to L experiments
-// bit-parallel in one machine word on the compiled simulation kernel
-// (internal/simc); the report is byte-identical to the serial path for
-// any workers x lanes combination.
+// Each worker runs up to 64 experiments bit-parallel in one machine
+// word on the compiled simulation kernel (internal/simc). -lanes L
+// narrows the word to L lanes, and -lanes 1 selects the interpreted
+// scalar path (one experiment per simulator); the report is
+// byte-identical for any workers x lanes combination.
 //
 // With -collapse the static fault-analysis pre-pass (internal/
 // statfault) runs before the campaign: experiments with a statically
@@ -112,7 +113,7 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 	seed := fs.Uint64("seed", 1, "campaign seed")
 	workers := fs.Int("workers", runtime.NumCPU(), "parallel campaign workers (1 = serial; results are identical)")
 	warmstart := fs.Int("warmstart", 0, "golden snapshot cadence in cycles for warm-started experiments (0 = cold start; results are identical)")
-	lanes := fs.Int("lanes", 1, "bit-parallel simulation lanes per worker, 1..64 (compiled kernel; results are identical)")
+	lanes := fs.Int("lanes", 0, "compiled-kernel lanes per worker: 0 = engine default (64), 1 = scalar path, up to 64 (results are identical)")
 	collapse := fs.Bool("collapse", false, "static fault-analysis pre-pass: prune statically-provable experiments and simulate one representative per equivalence class (results are identical)")
 	tol := fs.Float64("tol", 0.35, "estimate-vs-measured tolerance")
 	vcd := fs.String("vcd", "", "record golden + first-undetected-fault waveforms to <prefix>_{golden,faulty}.vcd")
@@ -145,8 +146,8 @@ func runCampaign(args []string, stdout, stderr io.Writer) int {
 		return usageErr("-workers must be >= 0 (0 = serial), got %d", *workers)
 	case *warmstart < 0:
 		return usageErr("-warmstart must be >= 0 (0 = cold start), got %d", *warmstart)
-	case *lanes < 1 || *lanes > 64:
-		return usageErr("-lanes must be in 1..64, got %d", *lanes)
+	case *lanes < 0 || *lanes > 64:
+		return usageErr("-lanes must be in 0..64 (0 = engine default), got %d", *lanes)
 	case *cycleBudget < 0:
 		return usageErr("-exp-cycle-budget must be >= 0, got %d", *cycleBudget)
 	case *expTimeout < 0:
@@ -359,7 +360,7 @@ func runWorker(args []string, stderr io.Writer) int {
 	seed := fs.Uint64("seed", 1, "campaign seed")
 	workers := fs.Int("workers", runtime.NumCPU(), "parallel workers inside one leased range (results are identical)")
 	warmstart := fs.Int("warmstart", 0, "golden snapshot cadence in cycles (0 = cold start; results are identical)")
-	lanes := fs.Int("lanes", 1, "bit-parallel simulation lanes per worker, 1..64 (results are identical)")
+	lanes := fs.Int("lanes", 0, "compiled-kernel lanes per worker: 0 = engine default (64), 1 = scalar path, up to 64 (results are identical)")
 	collapse := fs.Bool("collapse", false, "static fault-analysis pre-pass (results are identical)")
 	cycleBudget := fs.Int("exp-cycle-budget", 0, "max simulated cycles per experiment (0 = unlimited)")
 	expTimeout := fs.Duration("exp-timeout", 0, "max wall-clock per experiment (0 = unlimited)")
@@ -383,8 +384,8 @@ func runWorker(args []string, stderr io.Writer) int {
 		return usageErr("-workers must be >= 0, got %d", *workers)
 	case *warmstart < 0:
 		return usageErr("-warmstart must be >= 0, got %d", *warmstart)
-	case *lanes < 1 || *lanes > 64:
-		return usageErr("-lanes must be in 1..64, got %d", *lanes)
+	case *lanes < 0 || *lanes > 64:
+		return usageErr("-lanes must be in 0..64 (0 = engine default), got %d", *lanes)
 	case *heartbeat <= 0:
 		return usageErr("-heartbeat must be > 0, got %v", *heartbeat)
 	case *cycleBudget < 0 || *expTimeout < 0 || *retries < 0:

@@ -46,12 +46,13 @@ type rec struct {
 	Outcome string `json:"outcome"`
 
 	// Known span attributes.
-	Lease   int64 `json:"lease"`
-	Lo      int64 `json:"lo"`
-	Hi      int64 `json:"hi"`
-	Worker  int64 `json:"worker"`
-	Attempt int64 `json:"attempt"`
-	Lanes   int64 `json:"lanes"`
+	Lease   int64  `json:"lease"`
+	Lo      int64  `json:"lo"`
+	Hi      int64  `json:"hi"`
+	Worker  int64  `json:"worker"`
+	Attempt int64  `json:"attempt"`
+	Lanes   int64  `json:"lanes"`
+	Cause   string `json:"cause"`
 }
 
 // span is one reconstructed span.
@@ -248,11 +249,11 @@ type critRow struct {
 }
 
 type procRow struct {
-	Proc     string `json:"proc"`
-	Spans    int    `json:"spans"`
-	BusyNs   int64  `json:"busy_ns"`
+	Proc     string  `json:"proc"`
+	Spans    int     `json:"spans"`
+	BusyNs   int64   `json:"busy_ns"`
 	UtilPct  float64 `json:"util_pct"`
-	Timeline string `json:"timeline"`
+	Timeline string  `json:"timeline"`
 }
 
 type leaseReport struct {
@@ -315,16 +316,23 @@ func analyze(tr *trace) *report {
 }
 
 // phaseBreakdown aggregates spans by name: count, and for timed spans
-// total/min/max duration. Sorted by total descending, then name.
+// total/min/max duration. Spans carrying a cause attribute (the
+// lane-fallback spans of the campaign engine) are split per cause as
+// "name[cause]", so the breakdown shows what each reason for leaving
+// the lane path cost. Sorted by total descending, then name.
 func phaseBreakdown(tr *trace) []phaseRow {
 	idx := map[string]int{}
 	var rows []phaseRow
 	for _, s := range tr.spans {
-		i, ok := idx[s.name]
+		name := s.name
+		if c := s.start.Cause; c != "" {
+			name += "[" + c + "]"
+		}
+		i, ok := idx[name]
 		if !ok {
 			i = len(rows)
-			idx[s.name] = i
-			rows = append(rows, phaseRow{Name: s.name})
+			idx[name] = i
+			rows = append(rows, phaseRow{Name: name})
 		}
 		rows[i].Count++
 		if !s.timed() {

@@ -217,3 +217,61 @@ func TestReportSkipsCampaignEvents(t *testing.T) {
 		t.Fatalf("skip counting wrong:\n%s", b)
 	}
 }
+
+// TestPhaseBreakdownSplitsFallbackCause: lane-fallback spans are
+// broken down per cause, so the report shows what each reason for
+// leaving the lane path cost; spans without a cause keep their name.
+func TestPhaseBreakdownSplitsFallbackCause(t *testing.T) {
+	base := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	now := base
+	clock := func() time.Time { return now }
+	path := filepath.Join(t.TempDir(), "fallback.spans.jsonl")
+	j, err := telemetry.OpenJournal(path, clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := telemetry.NewCampaign(nil, nil)
+	c.Tracer = telemetry.NewTracer(j, "injector", telemetry.TraceID("fallback-test"))
+	root := c.StartSpan("campaign")
+	c.SetTraceRoot(root)
+	b := c.BatchStart(64)
+	now = now.Add(40 * time.Millisecond)
+	c.BatchDone(b, 64)
+	for _, step := range []struct {
+		cause string
+		d     time.Duration
+	}{
+		{telemetry.FallbackUnbatchable, 5 * time.Millisecond},
+		{telemetry.FallbackBatchFailed, 7 * time.Millisecond},
+		{telemetry.FallbackBatchFailed, 9 * time.Millisecond},
+	} {
+		sp := c.LaneFallback(step.cause)
+		now = now.Add(step.d)
+		sp.End()
+	}
+	root.End()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := load([]string{path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[string]phaseRow{}
+	for _, p := range phaseBreakdown(tr) {
+		rows[p.Name] = p
+	}
+	for name, want := range map[string]phaseRow{
+		"batch":                       {Name: "batch", Count: 1, TotalNs: int64(40 * time.Millisecond)},
+		"lane-fallback[unbatchable]":  {Name: "lane-fallback[unbatchable]", Count: 1, TotalNs: int64(5 * time.Millisecond)},
+		"lane-fallback[batch_failed]": {Name: "lane-fallback[batch_failed]", Count: 2, TotalNs: int64(16 * time.Millisecond)},
+	} {
+		got := rows[name]
+		if got.Count != want.Count || got.TotalNs != want.TotalNs {
+			t.Errorf("phase %q = %+v, want count %d total %v", name, got, want.Count, time.Duration(want.TotalNs))
+		}
+	}
+	if _, ok := rows["lane-fallback"]; ok {
+		t.Error("fallback spans were not split by cause")
+	}
+}

@@ -72,7 +72,9 @@ type Options struct {
 	// onto the injection target (goroutine sharding, word-parallel
 	// lanes, static collapse). All three are byte-neutral: the report
 	// is bit-identical at any setting, so services may tune them per
-	// deployment without voiding certification identity.
+	// deployment without voiding certification identity. Lanes 0 is
+	// the engine default (the 64-lane compiled kernel) and Lanes 1 the
+	// interpreted scalar path; see inject.Target.Lanes.
 	Workers  int
 	Lanes    int
 	Collapse bool

@@ -9,6 +9,7 @@ import (
 	"repro/internal/iec61508"
 	"repro/internal/inject"
 	"repro/internal/memsys"
+	"repro/internal/telemetry"
 )
 
 // flowDUT builds a flow-ready DUT. addrWidth 8 is the calibrated
@@ -261,5 +262,47 @@ func TestRunCanceledContext(t *testing.T) {
 	as, err = Run(flowDUT(t, true, 6), opts)
 	if err != nil || as == nil {
 		t.Fatalf("live ctx: err %v", err)
+	}
+}
+
+// TestDefaultEngineRunsLanes: at DefaultOptions the validation
+// campaigns run on the 64-lane compiled kernel — every experiment in a
+// lane batch, none falling back to the scalar path — and the report is
+// byte-identical to the scalar engine's (Lanes 1).
+func TestDefaultEngineRunsLanes(t *testing.T) {
+	if testing.Short() {
+		t.Skip("validation flow is slow")
+	}
+	for _, v2 := range []bool{false, true} {
+		name := "v1"
+		if v2 {
+			name = "v2"
+		}
+		t.Run(name, func(t *testing.T) {
+			opts := DefaultOptions()
+			tel := telemetry.NewCampaign(nil, nil)
+			opts.Telemetry = tel
+			as, err := Run(flowDUT(t, v2, 6), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snap := tel.Snapshot()
+			if snap.Batches == 0 {
+				t.Fatal("default engine ran no lane batch")
+			}
+			if fb := snap.FallbackUnbatchable + snap.FallbackWallWatchdog + snap.FallbackBatchFailed; fb != 0 {
+				t.Fatalf("default engine let %d experiment(s) fall back to the scalar path: %+v", fb, snap)
+			}
+
+			scalar := DefaultOptions()
+			scalar.Lanes = 1
+			sas, err := Run(flowDUT(t, v2, 6), scalar)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := as.Report(), sas.Report(); got != want {
+				t.Fatalf("default-engine report differs from the scalar engine's:\n--- lanes 1\n%s\n--- default\n%s", want, got)
+			}
+		})
 	}
 }

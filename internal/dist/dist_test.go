@@ -59,7 +59,9 @@ type campaign struct {
 // case studies. The v1/v2 designs go through dist.Spec — the exact
 // code path cmd/campaignd and worker processes share — and the
 // lockstep CPU is built directly (it has no Spec encoding; in-process
-// tests don't need one).
+// tests don't need one). The target runs the scalar engine: the serial
+// reference and the lease-timing tests rely on one experiment per
+// simulator, and matrix cells set their lane width explicitly.
 func buildCampaign(t testing.TB, kind string) campaign {
 	t.Helper()
 	switch kind {
@@ -71,6 +73,7 @@ func buildCampaign(t testing.TB, kind string) campaign {
 		if err != nil {
 			t.Fatal(err)
 		}
+		c.Target.Lanes = 1
 		return campaign{
 			target: c.Target, golden: c.Golden, plan: sample(c.Plan),
 			analysis: c.Analysis, worksheet: c.Worksheet,
@@ -85,6 +88,7 @@ func buildCampaign(t testing.TB, kind string) campaign {
 			t.Fatal(err)
 		}
 		target := d.InjectionTarget(a)
+		target.Lanes = 1
 		g, err := target.RunGolden(d.Workload(120))
 		if err != nil {
 			t.Fatal(err)

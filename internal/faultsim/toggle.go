@@ -40,10 +40,10 @@ func (e *Engine) ToggleCoverage(tr *workload.Trace) (ToggleReport, error) {
 	if err != nil {
 		return ToggleReport{}, err
 	}
-	seen0 := make([]bool, len(n.Nets))
-	seen1 := make([]bool, len(n.Nets))
-	// A faultless binary machine: lane 0 is read for the toggle tally
-	// (all 64 lanes carry the same golden circuit).
+	seen0 := make([]uint64, len(n.Nets))
+	seen1 := make([]uint64, len(n.Nets))
+	// A faultless binary machine: every lane carries the same golden
+	// circuit, and TallyToggles reads lane 0.
 	m := simc.NewBinMachine(e.prog)
 	m.ResetState()
 	for cycle := 0; cycle < tr.Cycles(); cycle++ {
@@ -59,14 +59,20 @@ func (e *Engine) ToggleCoverage(tr *workload.Trace) (ToggleReport, error) {
 		}
 		m.Eval()
 		for id := range n.Nets {
-			if m.Val(netlist.NetID(id))&1 == 1 {
-				seen1[id] = true
-			} else {
-				seen0[id] = true
-			}
+			v := m.Val(netlist.NetID(id))
+			seen1[id] |= v
+			seen0[id] |= ^v
 		}
 		m.Step()
 	}
+	return TallyToggles(n, seen0, seen1), nil
+}
+
+// TallyToggles builds the toggle report from per-net level sightings:
+// bit 0 of seen0[id] / seen1[id] is set when lane 0 of a simulation saw
+// net id at 0 / 1. Constant nets and nets with no driver (orphaned by
+// pruning; no silicon behind them) are not eligible.
+func TallyToggles(n *netlist.Netlist, seen0, seen1 []uint64) ToggleReport {
 	rep := ToggleReport{}
 	for id := range n.Nets {
 		nid := netlist.NetID(id)
@@ -74,14 +80,14 @@ func (e *Engine) ToggleCoverage(tr *workload.Trace) (ToggleReport, error) {
 			continue
 		}
 		if !n.IsDriven(nid) {
-			continue // orphaned by pruning; no silicon behind it
+			continue
 		}
 		rep.Eligible++
-		if seen0[id] && seen1[id] {
+		if seen0[id]&seen1[id]&1 != 0 {
 			rep.Covered++
 		} else {
 			rep.Untoggled = append(rep.Untoggled, nid)
 		}
 	}
-	return rep, nil
+	return rep
 }

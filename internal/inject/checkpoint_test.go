@@ -30,6 +30,7 @@ func cpuCampaign(t *testing.T) (*inject.Target, *inject.Golden, []inject.Injecti
 		t.Fatal(err)
 	}
 	target := d.InjectionTarget(a)
+	target.Lanes = 1 // scalar reference engine
 	g, err := target.RunGolden(d.Workload(120))
 	if err != nil {
 		t.Fatal(err)

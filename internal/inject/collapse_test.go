@@ -146,6 +146,7 @@ func TestCollapseLockstepCPU(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := d.InjectionTarget(a)
+	target.Lanes = 1 // scalar reference engine
 	g, err := target.RunGolden(d.Workload(120))
 	if err != nil {
 		t.Fatal(err)
@@ -249,6 +250,7 @@ func TestCollapsePropertyRandomCircuits(t *testing.T) {
 		target := &inject.Target{
 			Analysis:    a,
 			NewInstance: func() (*sim.Simulator, error) { return sim.New(n) },
+			Lanes:       1, // scalar reference engine
 		}
 		tr := workload.Random(xrand.New(seed+300), []string{"in"}, map[string]int{"in": 6}, 30)
 		g, err := target.RunGolden(tr)

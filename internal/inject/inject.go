@@ -15,10 +15,12 @@ package inject
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/faults"
 	"repro/internal/netlist"
 	"repro/internal/sim"
+	"repro/internal/simc"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
 	"repro/internal/zones"
@@ -48,16 +50,19 @@ type Target struct {
 	// report is byte-identical with it on or off (see the neutrality
 	// matrix test).
 	Telemetry *telemetry.Campaign
-	// Lanes > 1 enables the compiled word-parallel kernel
-	// (internal/simc): up to Lanes experiments (max 64) restore from the
-	// same golden snapshot and run in lockstep, one per bit-lane of a
-	// machine word, with per-lane fault masks and per-lane monitor
-	// retirement. The merged report stays bit-identical to the serial
-	// path for any (Workers x Lanes) combination — lanes are a pure
+	// Lanes is the width of the compiled word-parallel kernel
+	// (internal/simc) the campaign runs on: up to Lanes experiments
+	// (max 64) restore from the same golden snapshot and run in
+	// lockstep, one per bit-lane of a machine word, with per-lane fault
+	// masks and per-lane monitor retirement. 0 selects the engine
+	// default (64 lanes); 1 forces the interpreted scalar path, one
+	// experiment per simulator. The merged report stays bit-identical
+	// for any (Workers x Lanes) combination — lanes are a pure
 	// throughput knob, like Workers (see the lanes neutrality matrix
-	// test). Experiments the kernel cannot batch (and every experiment
-	// when the nondeterministic wall-clock watchdog is armed) fall back
-	// to the serial per-experiment path automatically.
+	// test). Experiments the kernel cannot batch, every experiment
+	// while the nondeterministic wall-clock watchdog is armed, and the
+	// members of a failed batch fall back to the scalar path
+	// automatically; telemetry counts each fallback by cause.
 	Lanes int
 	// Collapse enables the static fault-analysis pre-pass
 	// (internal/statfault) before simulation: rows whose verdict is
@@ -79,6 +84,43 @@ type Target struct {
 	// report stays byte-identical to a cold start (see the warm-start
 	// neutrality matrix test).
 	SnapshotEvery int
+
+	// prog is the compiled kernel program of Analysis.N, built on first
+	// use and shared by every lane campaign and toggle pass of this
+	// Target (see program).
+	prog *simc.Program
+}
+
+// progMu guards the lazy Target.prog fill. It is package-level so a
+// Target stays a plain copyable struct; the critical section runs once
+// per Target.
+var progMu sync.Mutex
+
+// program returns the compiled simc program of the target's netlist,
+// compiling it on first use. Compilation is deferred to the first
+// campaign or toggle pass so building a design never pays for it.
+func (t *Target) program() (*simc.Program, error) {
+	progMu.Lock()
+	defer progMu.Unlock()
+	if t.prog != nil && t.prog.Netlist() == t.Analysis.N {
+		return t.prog, nil
+	}
+	p, err := simc.Compile(t.Analysis.N)
+	if err != nil {
+		return nil, err
+	}
+	t.prog = p
+	return p, nil
+}
+
+// laneWidth resolves Target.Lanes to the kernel width a campaign uses:
+// 0 (or negative) is the engine default of 64, anything wider is
+// clamped to the 64-lane word, and 1 means the scalar path.
+func (t *Target) laneWidth() int {
+	if t.Lanes <= 0 {
+		return 64
+	}
+	return min(t.Lanes, 64)
 }
 
 // obsTrace is the recorded (value, xmask) stream of one observation

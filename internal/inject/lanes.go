@@ -9,6 +9,7 @@ import (
 	"repro/internal/netlist"
 	"repro/internal/sim"
 	"repro/internal/simc"
+	"repro/internal/workload"
 	"repro/internal/zones"
 )
 
@@ -94,13 +95,41 @@ func minIndex(unit []int) int {
 // runBatchRecovered is runBatch with panic isolation, like
 // runRecovered: a failing batch is discarded whole and every member is
 // retried on the serial supervised path.
-func (t *Target) runBatchRecovered(g *Golden, prog *simc.Program, plan []Injection, idxs []int) (res []ExpResult, err error) {
+func (t *Target) runBatchRecovered(g *Golden, prog *simc.Program, plan []Injection, idxs []int, li *laneInstances) (res []ExpResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("lane batch panic: %v", r)
 		}
 	}()
-	return t.runBatch(g, prog, plan, idxs)
+	return t.runBatch(g, prog, plan, idxs, li)
+}
+
+// laneInstances is one worker's reusable set of lane peripherals: the
+// behavioral models each lane of a batch hosts, taken from instances
+// built on first use and restored to the batch's starting snapshot
+// before every batch, so a campaign builds at most 64 instances per
+// worker instead of one per experiment.
+type laneInstances struct {
+	periphs [][]sim.Peripheral
+	// fresh is the state of a just-built instance: the cold-start
+	// snapshot of batches no golden snapshot precedes. Every instance
+	// comes from the same factory, so one capture serves all lanes.
+	fresh *sim.Snapshot
+}
+
+// take returns the peripherals of n lanes, building missing instances.
+func (li *laneInstances) take(t *Target, n int) ([][]sim.Peripheral, error) {
+	for len(li.periphs) < n {
+		s, err := t.NewInstance()
+		if err != nil {
+			return nil, err
+		}
+		if li.fresh == nil {
+			li.fresh = s.Snapshot()
+		}
+		li.periphs = append(li.periphs, s.Peripherals())
+	}
+	return li.periphs[:n], nil
 }
 
 // laneExp is the per-lane bookkeeping of one batch member.
@@ -129,7 +158,7 @@ type laneExp struct {
 // bit-lane of a compiled machine, and returns their results in idxs
 // order. Any error (or panic, via runBatchRecovered) means no result
 // was produced for any member; the caller reruns them serially.
-func (t *Target) runBatch(g *Golden, prog *simc.Program, plan []Injection, idxs []int) ([]ExpResult, error) {
+func (t *Target) runBatch(g *Golden, prog *simc.Program, plan []Injection, idxs []int, li *laneInstances) ([]ExpResult, error) {
 	a := t.Analysis
 	tr := g.Trace
 	lanes := len(idxs)
@@ -137,13 +166,9 @@ func (t *Target) runBatch(g *Golden, prog *simc.Program, plan []Injection, idxs 
 		return nil, fmt.Errorf("inject: lanes: batch of %d exceeds the 64-lane word", lanes)
 	}
 
-	ports := make([]netlist.Port, len(tr.Ports))
-	for pi, name := range tr.Ports {
-		p, ok := prog.Netlist().FindInput(name)
-		if !ok {
-			return nil, fmt.Errorf("inject: lanes: trace port %q not in netlist", name)
-		}
-		ports[pi] = p
+	ports, err := tracePorts(prog, tr)
+	if err != nil {
+		return nil, err
 	}
 
 	m := simc.NewMachine(prog)
@@ -185,6 +210,10 @@ func (t *Target) runBatch(g *Golden, prog *simc.Program, plan []Injection, idxs 
 		}
 	}
 
+	periphs, err := li.take(t, lanes)
+	if err != nil {
+		return nil, err
+	}
 	// The batch resumes from the snapshot usable by its earliest
 	// injection; later lanes deterministically replay the golden prefix
 	// they would have skipped serially, which cannot change their
@@ -193,39 +222,27 @@ func (t *Target) runBatch(g *Golden, prog *simc.Program, plan []Injection, idxs 
 	start := 0
 	if snap != nil {
 		start = int(snap.Cycle())
+	} else {
+		// Cold start: every lane begins exactly where a fresh serial
+		// instance would.
+		snap = li.fresh
 	}
 
 	// Each lane gets its own peripheral instances (behavioral models
 	// hold internal state), sampling and committing through lane-local
 	// accessors inside the machine's clock-edge callback.
-	periphs := make([][]sim.Peripheral, lanes)
-	gets := make([]func(netlist.NetID) sim.Value, lanes)
-	sets := make([]func(netlist.NetID, sim.Value), lanes)
-	for k := range lcs {
-		s, err := t.NewInstance()
-		if err != nil {
-			return nil, err
+	hosts := make([]laneHost, lanes)
+	states := snap.PeripheralStates()
+	for k, ps := range periphs {
+		if len(states) != len(ps) {
+			return nil, fmt.Errorf("inject: lanes: snapshot has %d peripheral state(s), instance has %d",
+				len(states), len(ps))
 		}
-		periphs[k] = s.Peripherals()
-		if snap != nil {
-			ps := snap.PeripheralStates()
-			if len(ps) != len(periphs[k]) {
-				return nil, fmt.Errorf("inject: lanes: snapshot has %d peripheral state(s), instance has %d",
-					len(ps), len(periphs[k]))
-			}
-			for j, p := range periphs[k] {
-				p.RestoreState(ps[j])
-			}
-			m.LoadLane(k, snap.FFValues(), snap.ExtValues())
-		} else {
-			// Cold start: the lane begins exactly where a fresh serial
-			// instance would.
-			sn := s.Snapshot()
-			m.LoadLane(k, sn.FFValues(), sn.ExtValues())
+		for j, p := range ps {
+			p.RestoreState(states[j])
 		}
-		lane := k
-		gets[k] = func(id netlist.NetID) sim.Value { return m.NetValue(lane, id) }
-		sets[k] = func(id netlist.NetID, v sim.Value) { m.SetExt(lane, id, v) }
+		hosts[k] = hostLane(m, k, ps)
+		m.LoadLane(k, snap.FFValues(), snap.ExtValues())
 	}
 
 	cb := t.Supervision.CycleBudget
@@ -263,20 +280,14 @@ func (t *Target) runBatch(g *Golden, prog *simc.Program, plan []Injection, idxs 
 		}
 	}
 	tick := func() {
-		for k := range periphs {
-			if active&lcs[k].bit == 0 {
-				continue
-			}
-			for _, p := range periphs[k] {
-				p.Sample(gets[k])
+		for k := range hosts {
+			if active&lcs[k].bit != 0 {
+				hosts[k].sample()
 			}
 		}
-		for k := range periphs {
-			if active&lcs[k].bit == 0 {
-				continue
-			}
-			for _, p := range periphs[k] {
-				p.Commit(sets[k])
+		for k := range hosts {
+			if active&lcs[k].bit != 0 {
+				hosts[k].commit()
 			}
 		}
 	}
@@ -295,12 +306,7 @@ func (t *Target) runBatch(g *Golden, prog *simc.Program, plan []Injection, idxs 
 		if active == 0 {
 			break
 		}
-		vec := tr.Vecs[c]
-		for pi := range ports {
-			for bit, id := range ports[pi].Nets {
-				m.DriveInput(id, sim.FromBool(vec[pi]>>uint(bit)&1 == 1))
-			}
-		}
+		driveVector(m, ports, tr.Vecs[c])
 		m.Eval()
 		m.Step(tick)
 		stepped++
@@ -420,6 +426,58 @@ func (t *Target) runBatch(g *Golden, prog *simc.Program, plan []Injection, idxs 
 		results[k] = res
 	}
 	return results, nil
+}
+
+// tracePorts resolves the trace's input ports on the program's netlist.
+func tracePorts(prog *simc.Program, tr *workload.Trace) ([]netlist.Port, error) {
+	ports := make([]netlist.Port, len(tr.Ports))
+	for pi, name := range tr.Ports {
+		p, ok := prog.Netlist().FindInput(name)
+		if !ok {
+			return nil, fmt.Errorf("inject: trace port %q not in netlist", name)
+		}
+		ports[pi] = p
+	}
+	return ports, nil
+}
+
+// driveVector drives one trace vector onto the input nets in every lane
+// (the machine equivalent of workload.Trace.ApplyTo).
+func driveVector(m *simc.Machine, ports []netlist.Port, vec []uint64) {
+	for pi := range ports {
+		for bit, id := range ports[pi].Nets {
+			m.DriveInput(id, sim.FromBool(vec[pi]>>uint(bit)&1 == 1))
+		}
+	}
+}
+
+// laneHost runs one lane's behavioral peripherals against a machine:
+// they sample pre-edge values and commit peripheral-driven nets through
+// lane-local accessors, inside the machine's clock-edge callback.
+type laneHost struct {
+	periphs []sim.Peripheral
+	get     func(netlist.NetID) sim.Value
+	set     func(netlist.NetID, sim.Value)
+}
+
+func hostLane(m *simc.Machine, lane int, periphs []sim.Peripheral) laneHost {
+	return laneHost{
+		periphs: periphs,
+		get:     func(id netlist.NetID) sim.Value { return m.NetValue(lane, id) },
+		set:     func(id netlist.NetID, v sim.Value) { m.SetExt(lane, id, v) },
+	}
+}
+
+func (h *laneHost) sample() {
+	for _, p := range h.periphs {
+		p.Sample(h.get)
+	}
+}
+
+func (h *laneHost) commit() {
+	for _, p := range h.periphs {
+		p.Commit(h.set)
+	}
 }
 
 // applyLaneFault arms one lane's fault on the machine (the lane-masked

@@ -7,18 +7,21 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/faults"
 	"repro/internal/inject"
+	"repro/internal/netlist"
 	"repro/internal/randckt"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 	"repro/internal/xrand"
 	"repro/internal/zones"
 )
 
 // TestLanesNeutralityMatrix is the determinism contract of the
-// word-parallel kernel: with Lanes > 1 the campaign runs up to 64
+// word-parallel kernel: unless Lanes is 1 the campaign runs up to 64
 // experiments per machine word, yet the merged report must stay
 // byte-identical to the cold serial reference — across lane and worker
 // counts, on both case studies (v2 has behavioral RAM peripherals and
@@ -42,7 +45,8 @@ func TestLanesNeutralityMatrix(t *testing.T) {
 			// Warm golden: the realistic batched configuration shares one
 			// snapshot restore across a whole batch.
 			wtgt, wg := warmGolden(t, target, g, 8)
-			for _, lanes := range []int{1, 8, 64} {
+			// Lanes 0 is the engine default every front-end runs.
+			for _, lanes := range []int{0, 1, 8, 64} {
 				for _, workers := range []int{1, 8} {
 					t.Run(fmt.Sprintf("lanes=%d/workers=%d", lanes, workers), func(t *testing.T) {
 						tgt := *wtgt
@@ -141,6 +145,7 @@ func TestLanesPropertyRandomCircuits(t *testing.T) {
 		target := &inject.Target{
 			Analysis:    a,
 			NewInstance: func() (*sim.Simulator, error) { return sim.New(n) },
+			Lanes:       1, // scalar reference engine
 		}
 		tr := workload.Random(xrand.New(seed+300), []string{"in"}, map[string]int{"in": 6}, 30)
 		g, err := target.RunGolden(tr)
@@ -221,4 +226,100 @@ func TestLanesTelemetryNeutrality(t *testing.T) {
 	if live := tel.Registry.Gauge("lanes_active").Load(); live != 0 {
 		t.Fatalf("lanes_active gauge is %d after the campaign, want 0", live)
 	}
+}
+
+// TestLaneFallbackCounters pins the lane-path decision counter: a
+// default-engine campaign batches every experiment, and each way of
+// leaving the lane path — an unbatchable fault model, a failed batch,
+// an armed wall-clock watchdog — is counted under its own cause, while
+// the report stays identical to the scalar engine's. The journal's
+// campaign_start event carries the effective lane width.
+func TestLaneFallbackCounters(t *testing.T) {
+	target, g, plan := reducedCampaign(t, true)
+	fallbacks := func(tel *telemetry.Campaign) map[string]int64 {
+		out := map[string]int64{}
+		for _, cause := range []string{telemetry.FallbackUnbatchable, telemetry.FallbackWallWatchdog, telemetry.FallbackBatchFailed} {
+			out[cause] = tel.Registry.Counter("lane_fallback_" + cause).Load()
+		}
+		return out
+	}
+	run := func(t *testing.T, plan []inject.Injection, sup inject.Supervision) (*inject.Report, *telemetry.Campaign, string) {
+		t.Helper()
+		ref := *target
+		ref.Supervision = sup
+		want, err := ref.Run(g, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tgt, tel, journal := instrumented(target)
+		tgt.Lanes = 0
+		tgt.Supervision = sup
+		rep, err := tgt.Run(g, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, rep) {
+			t.Fatal("default-engine report differs from the scalar engine's")
+		}
+		if err := tel.Journal.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return rep, tel, journal.String()
+	}
+
+	t.Run("default", func(t *testing.T) {
+		_, tel, journal := run(t, plan, inject.Supervision{})
+		if tel.Registry.Counter("batches").Load() == 0 {
+			t.Fatal("default engine ran no lane batch")
+		}
+		want := map[string]int64{"unbatchable": 0, "wall_watchdog": 0, "batch_failed": 0}
+		if got := fallbacks(tel); !reflect.DeepEqual(got, want) {
+			t.Fatalf("fallbacks %v, want %v", got, want)
+		}
+		if !strings.Contains(journal, `"lanes":64`) {
+			t.Fatalf("campaign_start does not record the 64-lane width:\n%s", firstLine(journal))
+		}
+	})
+	t.Run("unbatchable", func(t *testing.T) {
+		// A delay fault on a gate pin has no lane implementation.
+		odd := append([]inject.Injection(nil), plan...)
+		odd[1].Fault = faults.Fault{Kind: faults.DelayX, Site: faults.SitePin, Net: 1, Net2: netlist.InvalidNet}
+		_, tel, _ := run(t, odd, inject.Supervision{})
+		want := map[string]int64{"unbatchable": 1, "wall_watchdog": 0, "batch_failed": 0}
+		if got := fallbacks(tel); !reflect.DeepEqual(got, want) {
+			t.Fatalf("fallbacks %v, want %v", got, want)
+		}
+	})
+	t.Run("batch_failed", func(t *testing.T) {
+		rep, tel, _ := run(t, poisonPlan(plan, 3), inject.Supervision{Quarantine: true})
+		if len(rep.Quarantined) != 1 {
+			t.Fatalf("quarantined %d rows, want 1", len(rep.Quarantined))
+		}
+		got := fallbacks(tel)
+		if got["batch_failed"] < 1 || got["unbatchable"] != 0 || got["wall_watchdog"] != 0 {
+			t.Fatalf("fallbacks %v, want only batch_failed > 0", got)
+		}
+	})
+	t.Run("wall_watchdog", func(t *testing.T) {
+		frozen := time.Unix(0, 0)
+		sup := inject.Supervision{WallBudget: time.Hour, Clock: func() time.Time { return frozen }}
+		_, tel, journal := run(t, plan, sup)
+		want := map[string]int64{"unbatchable": 0, "wall_watchdog": int64(len(plan)), "batch_failed": 0}
+		if got := fallbacks(tel); !reflect.DeepEqual(got, want) {
+			t.Fatalf("fallbacks %v, want %v", got, want)
+		}
+		if tel.Registry.Counter("batches").Load() != 0 {
+			t.Fatal("lane batches ran under an armed wall watchdog")
+		}
+		if !strings.Contains(journal, `"lanes":1,`) {
+			t.Fatalf("campaign_start does not record the scalar width:\n%s", firstLine(journal))
+		}
+	})
+}
+
+func firstLine(s string) string {
+	if i := strings.IndexByte(s, '\n'); i >= 0 {
+		return s[:i]
+	}
+	return s
 }

@@ -231,9 +231,21 @@ func (t *Target) runSpan(g *Golden, plan []Injection, workers, lo, hi int) (*cam
 	if sup.Checkpoint != "" && sup.CheckpointEvery <= 0 {
 		sup.CheckpointEvery = defaultCheckpointEvery
 	}
+	// The word-parallel path: unless Lanes is 1 the batchable pending
+	// experiments are grouped into lockstep lane batches on a compiled
+	// machine (see lanes.go). Wall-clock watchdogs are inherently
+	// nondeterministic and per-instance, so an armed one keeps the whole
+	// campaign on the scalar per-experiment path.
+	wallArmed := sup.WallBudget > 0 && sup.Clock != nil
+	lanes := t.laneWidth()
+	useLanes := lanes > 1 && span > 0 && !wallArmed
+	effLanes := 1
+	if useLanes {
+		effLanes = lanes
+	}
 	tel := t.Telemetry
 	if tel != nil {
-		tel.PlanBuilt(span, workers, PlanHash(plan))
+		tel.PlanBuilt(span, workers, effLanes, PlanHash(plan))
 	}
 
 	st := &campaignState{slots: make([]expSlot, len(plan))}
@@ -255,7 +267,7 @@ func (t *Target) runSpan(g *Golden, plan []Injection, workers, lo, hi int) (*cam
 	// host timing, so it disables the pre-pass the same way it disables
 	// lanes.
 	var pc *planCollapse
-	if t.Collapse && span > 0 && !(sup.WallBudget > 0 && sup.Clock != nil) {
+	if t.Collapse && span > 0 && !wallArmed {
 		csp := tel.StartSpan("collapse")
 		pc = t.collapsePlan(g, plan)
 		csp.End()
@@ -271,19 +283,11 @@ func (t *Target) runSpan(g *Golden, plan []Injection, workers, lo, hi int) (*cam
 		tel.CollapsePlan(applied, pc.nDup)
 	}
 
-	// The word-parallel path: with Lanes > 1 the batchable pending
-	// experiments are grouped into lockstep lane batches on a compiled
-	// machine (see lanes.go). Wall-clock watchdogs are inherently
-	// nondeterministic and per-instance, so an armed one keeps the whole
-	// campaign on the serial per-experiment path.
-	lanes := min(t.Lanes, 64)
-	useLanes := lanes > 1 && span > 0 &&
-		!(sup.WallBudget > 0 && sup.Clock != nil)
 	var prog *simc.Program
 	var units [][]int
 	if useLanes {
 		var err error
-		if prog, err = simc.Compile(t.Analysis.N); err != nil {
+		if prog, err = t.program(); err != nil {
 			return nil, err
 		}
 		units = buildUnits(st, plan, lanes, pc, lo, hi)
@@ -347,6 +351,13 @@ func (t *Target) runSpan(g *Golden, plan []Injection, workers, lo, hi int) (*cam
 		}
 		st.mu.Unlock()
 	}
+	// runFallback is runSingle for an experiment that left the lane
+	// path, counted by cause and timed in its own span.
+	runFallback := func(i int, tk telemetry.ExpTicket, cause string) {
+		fsp := tel.LaneFallback(cause)
+		runSingle(i, tk)
+		fsp.End()
+	}
 	work := func() {
 		for {
 			i := int(cursor.Add(1)) - 1
@@ -359,24 +370,28 @@ func (t *Target) runSpan(g *Golden, plan []Injection, workers, lo, hi int) (*cam
 			if pc != nil && pc.dep[i] >= 0 { // inherits after the drain
 				continue
 			}
-			runSingle(i, tel.ExpStart(i))
+			if lanes > 1 { // lanes wanted, but the wall watchdog is armed
+				runFallback(i, tel.ExpStart(i), telemetry.FallbackWallWatchdog)
+			} else {
+				runSingle(i, tel.ExpStart(i))
+			}
 		}
 	}
 	// workUnits is the lanes variant: the cursor claims whole work
-	// units. A multi-lane batch that fails for any reason (error or
-	// panic) produces no results; every member is then rerun serially
-	// under the full supervision policy, so retry/quarantine semantics
-	// are identical to the per-experiment path.
+	// units. A batch that fails for any reason (error or panic)
+	// produces no results; every member is then rerun serially under
+	// the full supervision policy, so retry/quarantine semantics are
+	// identical to the per-experiment path.
 	workUnits := func() {
+		li := &laneInstances{}
 		for {
 			u := int(cursor.Add(1)) - 1
 			if u >= len(units) || stopped.Load() || interrupted() {
 				return
 			}
 			idxs := units[u]
-			if len(idxs) == 1 {
-				i := idxs[0]
-				runSingle(i, tel.ExpStart(i))
+			if i := idxs[0]; !batchable(plan[i]) {
+				runFallback(i, tel.ExpStart(i), telemetry.FallbackUnbatchable)
 				continue
 			}
 			starts := make([]telemetry.ExpTicket, len(idxs))
@@ -384,11 +399,11 @@ func (t *Target) runSpan(g *Golden, plan []Injection, workers, lo, hi int) (*cam
 				starts[k] = tel.ExpStart(i)
 			}
 			bsp := tel.BatchStart(len(idxs))
-			results, err := t.runBatchRecovered(g, prog, plan, idxs)
+			results, err := t.runBatchRecovered(g, prog, plan, idxs, li)
 			tel.BatchDone(bsp, len(idxs))
 			if err != nil {
 				for k, i := range idxs {
-					runSingle(i, starts[k])
+					runFallback(i, starts[k], telemetry.FallbackBatchFailed)
 				}
 				continue
 			}
@@ -459,6 +474,15 @@ func (t *Target) runSpan(g *Golden, plan []Injection, workers, lo, hi int) (*cam
 				}
 				st.slots[i] = expSlot{done: true, res: res}
 				tel.OutcomeInherited()
+			} else if useLanes {
+				// The representative was quarantined and this row
+				// reruns on the scalar path: its own batch would have
+				// failed the same way.
+				cause := telemetry.FallbackBatchFailed
+				if !batchable(plan[i]) {
+					cause = telemetry.FallbackUnbatchable
+				}
+				runFallback(i, tel.ExpStart(i), cause)
 			} else {
 				runSingle(i, tel.ExpStart(i))
 			}

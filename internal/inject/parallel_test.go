@@ -28,6 +28,9 @@ func reducedCampaign(t testing.TB, v2 bool) (*inject.Target, *inject.Golden, []i
 		t.Fatal(err)
 	}
 	target := d.InjectionTargetSeeded(a, d.SeedFaults())
+	// The reference engine is the scalar path; matrix cells opt into
+	// lanes explicitly.
+	target.Lanes = 1
 	g, err := target.RunGolden(d.ValidationWorkload(2, 1))
 	if err != nil {
 		t.Fatal(err)

@@ -6,55 +6,56 @@ import (
 	"repro/internal/faultsim"
 	"repro/internal/netlist"
 	"repro/internal/sim"
+	"repro/internal/simc"
 	"repro/internal/workload"
 )
 
 // ToggleCoverage measures the workload-efficiency metric of Section 5b
-// on the full DUT (including behavioral peripherals, which the
-// bit-parallel fault simulator cannot host): the fraction of nets the
-// workload drove to both logic levels.
+// on the full DUT, behavioral peripherals included: the fraction of
+// nets the workload drove to both logic levels. It replays the trace on
+// lane 0 of a compiled machine (the fresh instance's state and
+// peripherals, hosted per clock edge like a campaign lane) and
+// OR-accumulates each net's settled planes after every edge.
 func (t *Target) ToggleCoverage(tr *workload.Trace) (faultsim.ToggleReport, error) {
+	prog, err := t.program()
+	if err != nil {
+		return faultsim.ToggleReport{}, err
+	}
+	ports, err := tracePorts(prog, tr)
+	if err != nil {
+		return faultsim.ToggleReport{}, err
+	}
 	s, err := t.NewInstance()
 	if err != nil {
 		return faultsim.ToggleReport{}, err
 	}
-	n := t.Analysis.N
-	seen0 := make([]bool, len(n.Nets))
-	seen1 := make([]bool, len(n.Nets))
+	m := simc.NewMachine(prog)
+	sn := s.Snapshot()
+	m.LoadLane(0, sn.FFValues(), sn.ExtValues())
+	host := hostLane(m, 0, s.Peripherals())
+	tick := func() {
+		host.sample()
+		host.commit()
+	}
+	nets := len(t.Analysis.N.Nets)
+	seen0 := make([]uint64, nets)
+	seen1 := make([]uint64, nets)
 	record := func() {
-		for id := range n.Nets {
-			switch s.Net(netlist.NetID(id)) {
-			case sim.V0:
-				seen0[id] = true
-			case sim.V1:
-				seen1[id] = true
-			}
+		for id := range seen0 {
+			v, x := m.NetPlanes(netlist.NetID(id))
+			seen1[id] |= v &^ x
+			seen0[id] |= ^v &^ x
 		}
 	}
+	m.Eval()
 	record()
 	for c := 0; c < tr.Cycles(); c++ {
-		tr.ApplyTo(s, c)
-		s.Eval()
-		s.Step()
+		driveVector(m, ports, tr.Vecs[c])
+		m.Eval()
+		m.Step(tick)
 		record()
 	}
-	rep := faultsim.ToggleReport{}
-	for id := range n.Nets {
-		nid := netlist.NetID(id)
-		if _, isConst := n.IsConst(nid); isConst {
-			continue
-		}
-		if !n.IsDriven(nid) {
-			continue // orphaned by pruning; no silicon behind it
-		}
-		rep.Eligible++
-		if seen0[id] && seen1[id] {
-			rep.Covered++
-		} else {
-			rep.Untoggled = append(rep.Untoggled, nid)
-		}
-	}
-	return rep, nil
+	return faultsim.TallyToggles(t.Analysis.N, seen0, seen1), nil
 }
 
 // RecordVCD replays the workload (golden when inj is nil, faulty

@@ -141,6 +141,7 @@ func TestWarmStartPropertyRandomCircuits(t *testing.T) {
 		target := &inject.Target{
 			Analysis:    a,
 			NewInstance: func() (*sim.Simulator, error) { return sim.New(n) },
+			Lanes:       1, // scalar reference engine
 		}
 		tr := workload.Random(xrand.New(seed+200), []string{"in"}, map[string]int{"in": 6}, 30)
 		g, err := target.RunGolden(tr)

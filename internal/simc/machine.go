@@ -29,15 +29,23 @@ type bridgeEntry struct {
 // The op stream is sealed on the first Eval; registering points after
 // that panics. Arming and disarming forces (per-lane masks) is cheap
 // and allowed at any time.
+//
+// Eval is a pure function of inputs, external nets, state, forces and
+// armed bridges, so it only runs when one of them changed since the
+// last settle: a workload that holds its inputs for a cycle costs one
+// pass per cycle (Step's) instead of two.
 type Machine struct {
 	p      *Program
 	ops    []op
 	sealed bool
+	// dirty is set by every mutation Eval depends on and cleared by
+	// Eval; a clean machine's planes are already settled.
+	dirty bool
 
-	valP, xP     []uint64 // per slot
-	extV, extX   []uint64 // per net: input/external values, as committed
+	valP, xP       []uint64 // per slot
+	extV, extX     []uint64 // per net: input/external values, as committed
 	stateV, stateX []uint64 // per FF
-	nextV, nextX []uint64 // per FF scratch for Step
+	nextV, nextX   []uint64 // per FF scratch for Step
 
 	// Registered patch points.
 	netPatches []netPatch
@@ -73,6 +81,7 @@ func NewMachine(p *Program) *Machine {
 		netRefOf: make(map[int32]ForceRef),
 		pinRefOf: make(map[uint64]ForceRef),
 		bnetOf:   make(map[int32]int32),
+		dirty:    true,
 	}
 }
 
@@ -149,6 +158,7 @@ func (m *Machine) bridgeNet(id netlist.NetID) int32 {
 // SetForce arms a force point with value v in the given lanes
 // (overwriting any previous value there).
 func (m *Machine) SetForce(ref ForceRef, lanes uint64, v sim.Value) {
+	m.dirty = true
 	m.fAny[ref] |= lanes
 	m.fVal[ref] &^= lanes
 	m.fX[ref] &^= lanes
@@ -162,6 +172,7 @@ func (m *Machine) SetForce(ref ForceRef, lanes uint64, v sim.Value) {
 
 // ClearForce disarms a force point in the given lanes.
 func (m *Machine) ClearForce(ref ForceRef, lanes uint64) {
+	m.dirty = true
 	m.fAny[ref] &^= lanes
 	m.fVal[ref] &^= lanes
 	m.fX[ref] &^= lanes
@@ -169,17 +180,20 @@ func (m *Machine) ClearForce(ref ForceRef, lanes uint64) {
 
 // ArmBridge activates a bridge in the given lanes.
 func (m *Machine) ArmBridge(ref BridgeRef, lanes uint64) {
+	m.dirty = true
 	m.bridges[ref].armed |= lanes
 }
 
 // DisarmBridge deactivates a bridge in the given lanes.
 func (m *Machine) DisarmBridge(ref BridgeRef, lanes uint64) {
+	m.dirty = true
 	m.bridges[ref].armed &^= lanes
 }
 
 // FlipFF inverts a flip-flop's state in the given lanes; X lanes stay
 // X (the Kleene complement), matching sim.FlipFF.
 func (m *Machine) FlipFF(id netlist.FFID, lanes uint64) {
+	m.dirty = true
 	m.stateV[id] ^= lanes &^ m.stateX[id]
 }
 
@@ -191,6 +205,7 @@ func (m *Machine) LoadLane(lane int, ffs, ext []sim.Value) {
 		panic(fmt.Sprintf("simc: LoadLane shape mismatch: %d/%d FFs, %d/%d nets",
 			len(ffs), len(m.stateV), len(ext), len(m.extV)))
 	}
+	m.dirty = true
 	bit := uint64(1) << uint(lane)
 	for i, v := range ffs {
 		setLaneBit(m.stateV, m.stateX, i, bit, v)
@@ -214,18 +229,23 @@ func setLaneBit(valP, xP []uint64, i int, bit uint64, v sim.Value) {
 // DriveInput drives one input/external net with the same value in all
 // lanes (the broadcast trace-application path).
 func (m *Machine) DriveInput(id netlist.NetID, v sim.Value) {
-	m.extV[id], m.extX[id] = 0, 0
+	var nv, nx uint64
 	switch v {
 	case sim.V1:
-		m.extV[id] = ^uint64(0)
+		nv = ^uint64(0)
 	case sim.VX:
-		m.extX[id] = ^uint64(0)
+		nx = ^uint64(0)
+	}
+	if m.extV[id] != nv || m.extX[id] != nx {
+		m.extV[id], m.extX[id] = nv, nx
+		m.dirty = true
 	}
 }
 
 // SetExt sets one external/input net in one lane (the per-lane
 // peripheral commit path).
 func (m *Machine) SetExt(lane int, id netlist.NetID, v sim.Value) {
+	m.dirty = true
 	setLaneBit(m.extV, m.extX, int(id), uint64(1)<<uint(lane), v)
 }
 
@@ -281,6 +301,10 @@ func (m *Machine) Eval() {
 	if !m.sealed {
 		m.seal()
 	}
+	if !m.dirty {
+		return
+	}
+	m.dirty = false
 	for i := range m.ovAny {
 		m.ovAny[i], m.ovV[i], m.ovX[i] = 0, 0, 0
 	}
@@ -460,5 +484,6 @@ func (m *Machine) Step(tick func()) {
 	}
 	copy(m.stateV, m.nextV)
 	copy(m.stateX, m.nextX)
+	m.dirty = true
 	m.Eval()
 }

@@ -345,3 +345,51 @@ func TestBinMachineMatchesSerial(t *testing.T) {
 		bm.Step()
 	}
 }
+
+// TestEvalSkipNeverHidesAChange: Eval returns at once on a machine
+// nothing changed since the last settle, so every mutator must mark the
+// machine for re-evaluation. Each step below changes one thing that
+// flips the output y = in0 XOR q in lane 0, and Eval must show it;
+// re-driving an input with the value it already has must not.
+func TestEvalSkipNeverHidesAChange(t *testing.T) {
+	n := netlist.New("lazy")
+	in := n.AddInput("in", 2)
+	ff, q := n.AddFF("r", "R", in[1], netlist.InvalidNet, false)
+	y := n.AddGate(netlist.XOR, "G", in[0], q)
+	n.AddOutput("y", []netlist.NetID{y})
+	prog, err := simc.Compile(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := simc.NewMachine(prog)
+	force := m.AddNetForce(q)
+	bridge := m.AddBridge(in[0], q, true)
+	ext := make([]sim.Value, len(n.Nets))
+	ext[in[0]] = sim.V1
+
+	steps := []struct {
+		name   string
+		mutate func()
+		want   sim.Value
+	}{
+		{"first settle", func() {}, sim.V0},
+		{"same input value", func() { m.DriveInput(in[0], sim.V0) }, sim.V0},
+		{"DriveInput", func() { m.DriveInput(in[0], sim.V1) }, sim.V1},
+		{"FlipFF", func() { m.FlipFF(ff, 1) }, sim.V0},
+		{"SetForce", func() { m.SetForce(force, 1, sim.V0) }, sim.V1},
+		{"ClearForce", func() { m.ClearForce(force, 1) }, sim.V0},
+		{"SetExt", func() { m.SetExt(0, in[0], sim.V0) }, sim.V1},
+		{"LoadLane", func() { m.LoadLane(0, []sim.Value{sim.V0}, ext) }, sim.V1},
+		{"ArmBridge", func() { m.ArmBridge(bridge, 1) }, sim.V0},
+		{"DisarmBridge", func() { m.DisarmBridge(bridge, 1) }, sim.V1},
+		{"Step", func() { m.DriveInput(in[1], sim.V1); m.Eval(); m.Step(nil) }, sim.V0},
+		{"X input", func() { m.DriveInput(in[0], sim.VX) }, sim.VX},
+	}
+	for _, st := range steps {
+		st.mutate()
+		m.Eval()
+		if got := m.NetValue(0, y); got != st.want {
+			t.Fatalf("%s: y = %v, want %v", st.name, got, st.want)
+		}
+	}
+}

@@ -56,6 +56,7 @@ type Campaign struct {
 	deviatedH   *Histogram
 	expWallH    *Histogram
 	batches     *Counter
+	fallbacks   map[string]*Counter
 	lanesActive *Gauge
 	laneOccH    *Histogram
 	collapsed   *Counter
@@ -100,6 +101,11 @@ func NewCampaign(journal *Journal, clock func() time.Time) *Campaign {
 		deviatedH:   r.Histogram("deviated_points", 0, 1, 2, 4, 8, 16, 32),
 		expWallH:    r.Histogram("exp_wall_us", 100, 1000, 10_000, 100_000, 1_000_000, 10_000_000),
 		batches:     r.Counter("batches"),
+		fallbacks: map[string]*Counter{
+			FallbackUnbatchable:  r.Counter("lane_fallback_" + FallbackUnbatchable),
+			FallbackWallWatchdog: r.Counter("lane_fallback_" + FallbackWallWatchdog),
+			FallbackBatchFailed:  r.Counter("lane_fallback_" + FallbackBatchFailed),
+		},
 		lanesActive: r.Gauge("lanes_active"),
 		laneOccH:    r.Histogram("lane_occupancy", 1, 2, 4, 8, 16, 32, 64),
 		collapsed:   r.Counter("faults_collapsed"),
@@ -125,10 +131,11 @@ func (c *Campaign) now() time.Time {
 }
 
 // PlanBuilt marks the start of one campaign run: the plan size, the
-// worker count and the plan fingerprint. Called once per Run/
-// RunParallel invocation; the plan_total gauge accumulates across
-// campaigns sharing the hub (e.g. zone + wide campaigns of core.Run).
-func (c *Campaign) PlanBuilt(total, workers int, planHash uint64) {
+// worker count, the effective lane width (1 = scalar path) and the
+// plan fingerprint. Called once per Run/RunParallel invocation; the
+// plan_total gauge accumulates across campaigns sharing the hub (e.g.
+// zone + wide campaigns of core.Run).
+func (c *Campaign) PlanBuilt(total, workers, lanes int, planHash uint64) {
 	if c == nil {
 		return
 	}
@@ -144,6 +151,7 @@ func (c *Campaign) PlanBuilt(total, workers int, planHash uint64) {
 	c.Journal.Emit(EvCampaignStart, func(e *Enc) {
 		e.Int("total", int64(total))
 		e.Int("workers", int64(workers))
+		e.Int("lanes", int64(lanes))
 		e.Hex("plan_hash", planHash)
 	})
 }
@@ -296,6 +304,35 @@ func (c *Campaign) BatchDone(sp Span, lanes int) {
 	}
 	c.lanesActive.Add(int64(-lanes))
 	sp.End()
+}
+
+// Causes of a lane fallback: why an experiment of a lane campaign ran
+// on the scalar per-experiment path instead of in a kernel lane.
+const (
+	// FallbackUnbatchable: the fault model has no lane implementation.
+	FallbackUnbatchable = "unbatchable"
+	// FallbackWallWatchdog: an armed wall-clock watchdog keeps the
+	// whole campaign scalar.
+	FallbackWallWatchdog = "wall_watchdog"
+	// FallbackBatchFailed: the experiment's batch failed (error or
+	// panic) and every member was rerun under full supervision.
+	FallbackBatchFailed = "batch_failed"
+)
+
+// LaneFallback records one experiment leaving the lane path for the
+// given cause (one of the Fallback* constants) in the
+// lane_fallback_<cause> counter, and opens a "lane-fallback" span
+// (cause attribute) the caller ends when the scalar run is done, so a
+// trace shows what each fallback cost.
+func (c *Campaign) LaneFallback(cause string) Span {
+	if c == nil {
+		return Span{}
+	}
+	c.fallbacks[cause].Inc()
+	if c.Tracer != nil {
+		return c.Tracer.start("lane-fallback", c.ambient(), 0, "", 0, func(e *Enc) { e.Str("cause", cause) })
+	}
+	return Span{}
 }
 
 // AddSimCycles accumulates simulated cycles (golden + faulty runs).

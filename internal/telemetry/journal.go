@@ -17,7 +17,7 @@ import (
 // DESIGN.md §10 for the full schema). tools/checkjournal validates a
 // journal file against this schema.
 const (
-	EvCampaignStart  = "campaign_start"   // total, workers, plan_hash
+	EvCampaignStart  = "campaign_start"   // total, workers, lanes, plan_hash
 	EvPhase          = "phase"            // name
 	EvExpStart       = "exp_start"        // i
 	EvExpFinish      = "exp_finish"       // i, outcome, sens, deviated, first_dev

@@ -21,7 +21,7 @@ func TestJournalEventStream(t *testing.T) {
 	c := NewCampaign(j, func() time.Time { return now })
 
 	c.Phase("golden")
-	c.PlanBuilt(2, 1, 0xdeadbeef)
+	c.PlanBuilt(2, 1, 1, 0xdeadbeef)
 	st := c.ExpStart(0)
 	c.ExpFinish(0, "detected-safe", true, 1, 42, st)
 	c.Retry(1, 1, `panic: "quoted"`+"\nnewline")

@@ -32,6 +32,13 @@ type Snapshot struct {
 	RangesQuarantined int64 `json:"ranges_quarantined"`
 	WorkersActive     int64 `json:"workers_active"`
 
+	// Lane path decisions: kernel batches run and experiments that fell
+	// back to the scalar path, by cause (see LaneFallback).
+	Batches              int64 `json:"batches"`
+	FallbackUnbatchable  int64 `json:"lane_fallback_unbatchable"`
+	FallbackWallWatchdog int64 `json:"lane_fallback_wall_watchdog"`
+	FallbackBatchFailed  int64 `json:"lane_fallback_batch_failed"`
+
 	// Outcomes maps outcome labels to counts (sorted keys on render).
 	Outcomes map[string]int64 `json:"outcomes"`
 
@@ -69,6 +76,11 @@ func (c *Campaign) Snapshot() Snapshot {
 		WorkerRetries:     c.workerRetry.Load(),
 		RangesQuarantined: c.rangesQuar.Load(),
 		WorkersActive:     c.distWorkers.Load(),
+
+		Batches:              c.batches.Load(),
+		FallbackUnbatchable:  c.fallbacks[FallbackUnbatchable].Load(),
+		FallbackWallWatchdog: c.fallbacks[FallbackWallWatchdog].Load(),
+		FallbackBatchFailed:  c.fallbacks[FallbackBatchFailed].Load(),
 
 		Outcomes: map[string]int64{},
 		ETASec:   -1,
@@ -138,6 +150,10 @@ func (s Snapshot) Line() string {
 	if s.LeasesIssued > 0 {
 		line += fmt.Sprintf(" | leases %d (expired %d, retries %d, quarantined %d) dist-workers %d",
 			s.LeasesIssued, s.LeasesExpired, s.WorkerRetries, s.RangesQuarantined, s.WorkersActive)
+	}
+	if fb := s.FallbackUnbatchable + s.FallbackWallWatchdog + s.FallbackBatchFailed; s.Batches > 0 || fb > 0 {
+		line += fmt.Sprintf(" | batches %d, lane fallbacks %d (unbatchable %d, wall_watchdog %d, batch_failed %d)",
+			s.Batches, fb, s.FallbackUnbatchable, s.FallbackWallWatchdog, s.FallbackBatchFailed)
 	}
 	if len(s.Outcomes) > 0 {
 		names := make([]string, 0, len(s.Outcomes))

@@ -75,7 +75,7 @@ func TestServeStatusSequentialLifecycles(t *testing.T) {
 
 	// Lifecycle 1.
 	c1 := NewCampaign(nil, nil)
-	c1.PlanBuilt(5, 1, 9)
+	c1.PlanBuilt(5, 1, 1, 9)
 	st := c1.ExpStart(0)
 	c1.ExpFinish(0, "safe-detected", false, 1, 4, st)
 	s1, err := ServeStatus("127.0.0.1:0", c1)
@@ -98,7 +98,7 @@ func TestServeStatusSequentialLifecycles(t *testing.T) {
 	// Lifecycle 2: a fresh campaign on a fresh server; the old
 	// campaign's counts must not bleed through the expvar indirection.
 	c2 := NewCampaign(nil, nil)
-	c2.PlanBuilt(7, 1, 9)
+	c2.PlanBuilt(7, 1, 1, 9)
 	for i := 0; i < 3; i++ {
 		st := c2.ExpStart(i)
 		c2.ExpFinish(i, "safe-detected", false, 1, 4, st)
@@ -199,8 +199,8 @@ func TestWriteJSONEncodeFailure(t *testing.T) {
 // internal/serve.
 func TestCampaignHandlerPerCampaign(t *testing.T) {
 	a, b := NewCampaign(nil, nil), NewCampaign(nil, nil)
-	a.PlanBuilt(2, 1, 9)
-	b.PlanBuilt(9, 1, 9)
+	a.PlanBuilt(2, 1, 1, 9)
+	b.PlanBuilt(9, 1, 1, 9)
 	for i, h := range []http.Handler{CampaignHandler(a), CampaignHandler(b)} {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest("GET", "/progress", nil))

@@ -90,7 +90,7 @@ func TestRegistrySnapshotStable(t *testing.T) {
 // must be inert, not crashing.
 func TestCampaignNilSafe(t *testing.T) {
 	var c *Campaign
-	c.PlanBuilt(10, 2, 42)
+	c.PlanBuilt(10, 2, 1, 42)
 	c.Phase("x")
 	start := c.ExpStart(0)
 	c.ExpFinish(0, "silent", false, 0, -1, start)
@@ -100,6 +100,7 @@ func TestCampaignNilSafe(t *testing.T) {
 	c.CheckpointLoad(3, 1)
 	c.AddSimCycles(100)
 	c.AddFaultsSimulated(63)
+	c.LaneFallback(FallbackBatchFailed).End()
 	c.Summary()
 	if snap := c.Snapshot(); snap.Done != 0 || snap.ETASec != -1 {
 		t.Fatalf("nil snapshot = %+v", snap)
@@ -119,7 +120,7 @@ func TestCampaignCountersAndSnapshot(t *testing.T) {
 	now := time.Unix(1000, 0)
 	clock := func() time.Time { return now }
 	c := NewCampaign(nil, clock)
-	c.PlanBuilt(4, 2, 0xabcd)
+	c.PlanBuilt(4, 2, 1, 0xabcd)
 	for i := 0; i < 3; i++ {
 		st := c.ExpStart(i)
 		now = now.Add(500 * time.Millisecond)
@@ -159,7 +160,7 @@ func TestCampaignCountersAndSnapshot(t *testing.T) {
 // campaign and checks that progress lines land on the writer.
 func TestReporter(t *testing.T) {
 	c := NewCampaign(nil, nil)
-	c.PlanBuilt(2, 1, 1)
+	c.PlanBuilt(2, 1, 1, 1)
 	st := c.ExpStart(0)
 	c.ExpFinish(0, "silent", false, 0, -1, st)
 	var mu sync.Mutex
@@ -188,9 +189,11 @@ func (f writerFunc) Write(p []byte) (int, error) { return f(p) }
 // exercises /progress, /metrics, /debug/vars and the pprof index.
 func TestStatusServer(t *testing.T) {
 	c := NewCampaign(nil, nil)
-	c.PlanBuilt(3, 1, 9)
+	c.PlanBuilt(3, 1, 1, 9)
 	st := c.ExpStart(0)
 	c.ExpFinish(0, "dangerous-undetected", true, 3, 12, st)
+	c.BatchDone(c.BatchStart(2), 2)
+	c.LaneFallback(FallbackBatchFailed).End()
 
 	s, err := ServeStatus("127.0.0.1:0", c)
 	if err != nil {
@@ -224,6 +227,12 @@ func TestStatusServer(t *testing.T) {
 	if snap.Done != 1 || snap.Total != 3 {
 		t.Fatalf("/progress = %+v", snap)
 	}
+	if snap.Batches != 1 || snap.FallbackBatchFailed != 1 || snap.FallbackUnbatchable != 0 || snap.FallbackWallWatchdog != 0 {
+		t.Fatalf("/progress lane decisions = %+v", snap)
+	}
+	if line := snap.Line(); !strings.Contains(line, "batches 1, lane fallbacks 1 (unbatchable 0, wall_watchdog 0, batch_failed 1)") {
+		t.Fatalf("progress line does not surface lane fallbacks: %s", line)
+	}
 	var reg RegistrySnapshot
 	if err := json.Unmarshal(get("/metrics.json"), &reg); err != nil {
 		t.Fatal(err)
@@ -237,6 +246,9 @@ func TestStatusServer(t *testing.T) {
 		"# TYPE campaign_exp_wall_us histogram\n",
 		`campaign_deviated_points_bucket{le="+Inf"} 1`,
 		"campaign_deviated_points_count 1",
+		"# TYPE campaign_lane_fallback_batch_failed counter\ncampaign_lane_fallback_batch_failed 1\n",
+		"campaign_lane_fallback_unbatchable 0\n",
+		"campaign_lane_fallback_wall_watchdog 0\n",
 	} {
 		if !strings.Contains(prom, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, prom)

@@ -43,7 +43,7 @@ import (
 // required maps each event to its mandatory non-seq/ts/ev fields and
 // their expected JSON kinds ("string", "number", "bool").
 var required = map[string]map[string]string{
-	"campaign_start":   {"total": "number", "workers": "number", "plan_hash": "string"},
+	"campaign_start":   {"total": "number", "workers": "number", "lanes": "number", "plan_hash": "string"},
 	"phase":            {"name": "string"},
 	"exp_start":        {"i": "number"},
 	"exp_finish":       {"i": "number", "outcome": "string", "sens": "bool", "deviated": "number", "first_dev": "number"},
@@ -59,7 +59,7 @@ var required = map[string]map[string]string{
 // optional maps events to optional fields whose type is still checked
 // when present.
 var optional = map[string]map[string]string{
-	"span_start": {"parent": "number", "rparent": "number"},
+	"span_start": {"parent": "number", "rparent": "number", "cause": "string"},
 	"span_end":   {"outcome": "string"},
 }
 

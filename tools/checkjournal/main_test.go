@@ -29,7 +29,7 @@ func TestCheckAcceptsRealJournal(t *testing.T) {
 	j := telemetry.NewJournal(&buf, fixed)
 	c := telemetry.NewCampaign(j, fixed)
 	c.Phase("campaign")
-	c.PlanBuilt(4, 2, 0xdeadbeef)
+	c.PlanBuilt(4, 2, 1, 0xdeadbeef)
 	start := c.ExpStart(0)
 	c.ExpFinish(0, "silent", false, 0, -1, start)
 	start = c.ExpStart(1)
@@ -80,6 +80,10 @@ func TestCheckAcceptsRealSpanJournal(t *testing.T) {
 	tk := c.ExpStart(0)
 	c.ExpFinish(0, "silent", false, 0, -1, tk)
 	c.BatchDone(b, 8)
+	fb := c.LaneFallback(telemetry.FallbackUnbatchable)
+	tk = c.ExpStart(1)
+	c.ExpFinish(1, "silent", false, 0, -1, tk)
+	fb.End()
 	wl.EndOutcome("done")
 	lease.EndOutcome("done")
 	c.PhaseDone()
